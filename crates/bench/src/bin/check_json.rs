@@ -2,19 +2,15 @@
 //! the command line with the in-tree JSON parser and checks its declared
 //! schema — `swque-bench-v1` experiment reports (including the nested
 //! `swque-trace-v1` shape of any embedded trace digests),
-//! `swque-lint-v3` analyzer reports (the legacy `swque-lint-v2` shape,
-//! whose findings lack the `domain_from`/`domain_to`/`chain` trio, and
-//! the `swque-lint-v1` shape, which also lacks `rule_class`, are still
-//! accepted), and the sweep
-//! orchestrator's three shapes: `swque-sweep-manifest-v1` campaign
-//! manifests, `swque-sweep-shard-v1` per-unit shards, and
-//! `swque-sweep-campaign-v1` merged reports (shard and campaign-row
-//! `unit_key`s are re-derived from the embedded unit, so a tampered or
-//! stale shard fails here exactly as it fails the merge), and
-//! `swque-mc-v1` model-checker reports (every violation's replay string
-//! is re-parsed under the `swque-mc-replay-v1` grammar and checked
-//! against the run's target and violated property). Used by
-//! `scripts/verify.sh` as the JSON smoke step for every producer.
+//! `swque-lint-v3` analyzer reports, the sweep orchestrator's three
+//! shapes: `swque-sweep-manifest-v1` campaign manifests,
+//! `swque-sweep-shard-v1` per-unit shards, and `swque-sweep-campaign-v1`
+//! merged reports (shard and campaign-row `unit_key`s are re-derived from
+//! the embedded unit, so a tampered or stale shard fails here exactly as
+//! it fails the merge), and `swque-mc-v1` model-checker reports (every
+//! violation's replay string is re-parsed under the `swque-mc-replay-v1`
+//! grammar and checked against the run's target and violated property).
+//! Used by `scripts/verify.sh` as the JSON smoke step for every producer.
 //!
 //! Diagnostics name the offending JSON path (`tables[2].rows[5]`,
 //! `traces[0].trace.events`, …) so a broken writer can be located without
@@ -32,16 +28,7 @@ use swque_trace::Json;
 /// tests assert it matches `swque_lint::report::LINT_SCHEMA`.
 const LINT_SCHEMA: &str = "swque-lint-v3";
 
-/// The previous analyzer report schema (findings without the
-/// `domain_from`/`domain_to`/`chain` trio), still accepted so archived
-/// reports keep validating.
-const LINT_SCHEMA_V2: &str = "swque-lint-v2";
-
-/// The original analyzer report schema (findings additionally without
-/// `rule_class`), likewise accepted.
-const LINT_SCHEMA_V1: &str = "swque-lint-v1";
-
-/// The analysis layers a v2+ finding may name.
+/// The analysis layers a finding may name.
 const RULE_CLASSES: [&str; 4] = ["token", "ast", "reachability", "dataflow"];
 
 /// Schema string of `swque-mc` model-checker reports. A literal because
@@ -53,17 +40,14 @@ const MC_SCHEMA: &str = "swque-mc-v1";
 fn check_report(doc: &Json) -> Result<String, String> {
     match doc.get("schema").and_then(Json::as_str).unwrap_or("") {
         BENCH_SCHEMA => check_bench_report(doc),
-        LINT_SCHEMA => check_lint_report(doc, 3),
-        LINT_SCHEMA_V2 => check_lint_report(doc, 2),
-        LINT_SCHEMA_V1 => check_lint_report(doc, 1),
+        LINT_SCHEMA => check_lint_report(doc),
         MANIFEST_SCHEMA => check_sweep_manifest(doc),
         SHARD_SCHEMA => check_sweep_shard(doc),
         CAMPAIGN_SCHEMA => check_sweep_campaign(doc),
         MC_SCHEMA => check_mc_report(doc),
         other => Err(format!(
-            "schema: {other:?}, expected {BENCH_SCHEMA:?}, {LINT_SCHEMA:?}, {LINT_SCHEMA_V2:?}, \
-             {LINT_SCHEMA_V1:?}, {MANIFEST_SCHEMA:?}, {SHARD_SCHEMA:?}, {CAMPAIGN_SCHEMA:?}, \
-             or {MC_SCHEMA:?}"
+            "schema: {other:?}, expected {BENCH_SCHEMA:?}, {LINT_SCHEMA:?}, {MANIFEST_SCHEMA:?}, \
+             {SHARD_SCHEMA:?}, {CAMPAIGN_SCHEMA:?}, or {MC_SCHEMA:?}"
         )),
     }
 }
@@ -317,11 +301,11 @@ fn check_sweep_campaign(doc: &Json) -> Result<String, String> {
     Ok(format!("sweep campaign {name:?}: {units} unit(s), {} marginal(s)", marginals.len()))
 }
 
-/// Validates one `swque-lint` analyzer report (`version` 1, 2, or 3; v2+
-/// findings must carry a valid `rule_class`, v3 findings additionally the
-/// `domain_from`/`domain_to`/`chain` string trio). `Err` carries a
-/// diagnostic of the form `<json path>: <what is wrong>`.
-fn check_lint_report(doc: &Json, version: u8) -> Result<String, String> {
+/// Validates one `swque-lint-v3` analyzer report (every finding carries a
+/// valid `rule_class` and the `domain_from`/`domain_to`/`chain` string
+/// trio). `Err` carries a diagnostic of the form
+/// `<json path>: <what is wrong>`.
+fn check_lint_report(doc: &Json) -> Result<String, String> {
     let keys = doc.keys();
     let expect = ["schema", "files_scanned", "suppressed", "status", "rules", "findings"];
     if keys != expect {
@@ -351,37 +335,23 @@ fn check_lint_report(doc: &Json, version: u8) -> Result<String, String> {
         }
     }
     let findings = doc.get("findings").and_then(Json::as_arr).ok_or("findings: not an array")?;
+    let want = [
+        "rule", "rule_class", "file", "line", "col", "message", "domain_from", "domain_to", "chain",
+    ];
     for (fi, f) in findings.iter().enumerate() {
-        let want: &[&str] = match version {
-            3.. => {
-                &["rule", "rule_class", "file", "line", "col", "message", "domain_from",
-                  "domain_to", "chain"]
-            }
-            2 => &["rule", "rule_class", "file", "line", "col", "message"],
-            _ => &["rule", "file", "line", "col", "message"],
-        };
         if f.keys() != want {
             return Err(format!("findings[{fi}]: keys {:?}, expected {want:?}", f.keys()));
         }
-        for key in ["rule", "file", "message"] {
+        for key in ["rule", "file", "message", "domain_from", "domain_to", "chain"] {
             f.get(key)
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("findings[{fi}].{key}: not a string"))?;
         }
-        if version >= 3 {
-            for key in ["domain_from", "domain_to", "chain"] {
-                f.get(key)
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("findings[{fi}].{key}: not a string"))?;
-            }
-        }
-        if version >= 2 {
-            let class = f.get("rule_class").and_then(Json::as_str).unwrap_or("");
-            if !RULE_CLASSES.contains(&class) {
-                return Err(format!(
-                    "findings[{fi}].rule_class: {class:?}, expected one of {RULE_CLASSES:?}"
-                ));
-            }
+        let class = f.get("rule_class").and_then(Json::as_str).unwrap_or("");
+        if !RULE_CLASSES.contains(&class) {
+            return Err(format!(
+                "findings[{fi}].rule_class: {class:?}, expected one of {RULE_CLASSES:?}"
+            ));
         }
         for key in ["line", "col"] {
             f.get(key)
@@ -390,7 +360,7 @@ fn check_lint_report(doc: &Json, version: u8) -> Result<String, String> {
         }
     }
     Ok(format!(
-        "lint v{version}: {status}, {} rule(s), {} finding(s)",
+        "lint v3: {status}, {} rule(s), {} finding(s)",
         rules.len(),
         findings.len()
     ))
@@ -716,37 +686,9 @@ mod tests {
         Json::parse(&doc.to_string()).expect("lint writer output parses")
     }
 
-    /// A minimal hand-written legacy v1 report (findings lack rule_class).
-    fn v1_lint_doc() -> Json {
-        Json::parse(
-            r#"{"schema":"swque-lint-v1","files_scanned":1,"suppressed":0,
-                "status":"baseline-exceeded",
-                "rules":[{"rule":"wall-clock","count":1,"baseline":0}],
-                "findings":[{"rule":"wall-clock","file":"crates/core/src/x.rs",
-                             "line":1,"col":18,"message":"m"}]}"#,
-        )
-        .expect("literal parses")
-    }
-
-    /// A minimal hand-written legacy v2 report (findings lack the
-    /// domain_from/domain_to/chain trio).
-    fn v2_lint_doc() -> Json {
-        Json::parse(
-            r#"{"schema":"swque-lint-v2","files_scanned":1,"suppressed":0,
-                "status":"baseline-exceeded",
-                "rules":[{"rule":"wall-clock","count":1,"baseline":0}],
-                "findings":[{"rule":"wall-clock","rule_class":"token",
-                             "file":"crates/core/src/x.rs",
-                             "line":1,"col":18,"message":"m"}]}"#,
-        )
-        .expect("literal parses")
-    }
-
     #[test]
     fn schema_literal_matches_the_lint_crate() {
         assert_eq!(LINT_SCHEMA, swque_lint::report::LINT_SCHEMA);
-        assert_eq!(LINT_SCHEMA_V2, swque_lint::report::LINT_SCHEMA_V2);
-        assert_eq!(LINT_SCHEMA_V1, swque_lint::report::LINT_SCHEMA_V1);
     }
 
     #[test]
@@ -755,29 +697,6 @@ mod tests {
         assert!(desc.contains("baseline-exceeded"), "unbaselined finding shows: {desc}");
         assert!(desc.contains("1 finding(s)"), "{desc}");
         assert!(desc.contains("lint v3"), "writer output is v3: {desc}");
-    }
-
-    #[test]
-    fn accepts_legacy_lint_reports() {
-        let desc = check_report(&v1_lint_doc()).expect("valid legacy v1 report");
-        assert!(desc.contains("lint v1"), "{desc}");
-        let desc = check_report(&v2_lint_doc()).expect("valid legacy v2 report");
-        assert!(desc.contains("lint v2"), "{desc}");
-    }
-
-    #[test]
-    fn lint_migration_round_trips_through_the_validator() {
-        for old in [v1_lint_doc(), v2_lint_doc()] {
-            let v3 = swque_lint::report::migrate_report(&old).expect("migrates");
-            let desc = check_report(&v3).expect("migrated report validates as v3");
-            assert!(desc.contains("lint v3"), "{desc}");
-            // Same counts either way; only the schema and finding keys grow.
-            assert_eq!(v3.get("findings").unwrap().as_arr().unwrap().len(), 1);
-            let f = &v3.get("findings").unwrap().as_arr().unwrap()[0];
-            assert_eq!(f.get("rule_class").and_then(Json::as_str), Some("token"));
-            assert_eq!(f.get("domain_from").and_then(Json::as_str), Some(""));
-            assert_eq!(f.get("chain").and_then(Json::as_str), Some(""));
-        }
     }
 
     #[test]

@@ -136,14 +136,47 @@ impl RunSpec {
 /// instructions per program; the default here keeps a full-suite experiment
 /// in minutes and can be raised with the `SWQUE_INSTS` environment
 /// variable.
+///
+/// # Panics
+///
+/// Panics if `SWQUE_INSTS` is set to anything but an instruction count
+/// (see [`parse_budget`]).
 pub fn default_insts() -> u64 {
-    std::env::var("SWQUE_INSTS").ok().and_then(|v| v.parse().ok()).unwrap_or(400_000)
+    budget_from_env("SWQUE_INSTS", 400_000)
 }
 
 /// Default warmup budget (cold caches and predictors are excluded from
 /// measurement); override with `SWQUE_WARMUP`.
+///
+/// # Panics
+///
+/// Panics if `SWQUE_WARMUP` is set to anything but an instruction count
+/// (see [`parse_budget`]).
 pub fn default_warmup() -> u64 {
-    std::env::var("SWQUE_WARMUP").ok().and_then(|v| v.parse().ok()).unwrap_or(300_000)
+    budget_from_env("SWQUE_WARMUP", 300_000)
+}
+
+/// Reads the budget knob `var` once and parses it with [`parse_budget`].
+fn budget_from_env(var: &str, default: u64) -> u64 {
+    let value = match std::env::var(var) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(raw)) => Some(raw.to_string_lossy().into_owned()),
+    };
+    match parse_budget(var, value.as_deref(), default) {
+        Ok(n) => n,
+        // swque-lint: allow(panic-in-lib) — documented `# Panics`: a mistyped budget must stop the run, not silently measure the default
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// Pure parser behind the instruction-budget knobs: an unset variable
+/// (`None`) yields `default`; a set one must be a decimal instruction
+/// count, else the error names the variable and the rejected value.
+pub fn parse_budget(var: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
+    let Some(v) = value else { return Ok(default) };
+    v.parse()
+        .map_err(|_| format!("{var}={v:?} is not an instruction count (a non-negative integer)"))
 }
 
 /// Runs `kernel` under `spec` and returns the measured-window result
@@ -367,6 +400,18 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_zero() {
         let _ = geomean(&[1.0, 0.0]);
+    }
+
+    #[test]
+    fn budget_parser_defaults_only_when_unset() {
+        assert_eq!(parse_budget("SWQUE_INSTS", None, 400_000), Ok(400_000));
+        assert_eq!(parse_budget("SWQUE_INSTS", Some("20000"), 400_000), Ok(20_000));
+        assert_eq!(parse_budget("SWQUE_WARMUP", Some("0"), 300_000), Ok(0));
+        for bad in ["", "20k", "2e4", "-1", " 5000", "5_000"] {
+            let err = parse_budget("SWQUE_WARMUP", Some(bad), 300_000).unwrap_err();
+            assert!(err.contains("SWQUE_WARMUP"), "error names the variable: {err}");
+            assert!(err.contains(&format!("{bad:?}")), "error names the value: {err}");
+        }
     }
 
     #[test]

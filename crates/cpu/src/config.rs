@@ -6,6 +6,10 @@ use swque_core::{BucketSpec, IqConfig};
 use swque_mem::MemConfig;
 
 /// Full out-of-order core configuration.
+///
+/// Quiescence skipping (DESIGN.md §10) is not configured here: it never
+/// changes a simulated result, is on by default, and
+/// [`Core::set_skip`](crate::Core::set_skip) is its one switch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
     /// Pipeline width for fetch, decode/dispatch, issue and commit
@@ -31,12 +35,6 @@ pub struct CoreConfig {
     pub predictor: PredictorConfig,
     /// Memory hierarchy (Table 2 caches, prefetcher, DRAM).
     pub mem: MemConfig,
-    /// Quiescence skipping (DESIGN.md §10): when the core proves no stage
-    /// can act this cycle, jump the clock to the next wake horizon instead
-    /// of ticking. Simulated timing and statistics are byte-identical
-    /// either way (the skip differential pins this); the flag exists for
-    /// the differential itself and the `SWQUE_NO_SKIP` escape hatch.
-    pub skip: bool,
 }
 
 impl CoreConfig {
@@ -58,7 +56,6 @@ impl CoreConfig {
             },
             predictor: PredictorConfig::default(),
             mem: MemConfig::default(),
-            skip: true,
         }
     }
 
@@ -95,7 +92,6 @@ impl CoreConfig {
             iq: IqConfig { capacity: 8, issue_width: 2, ..IqConfig::default() },
             predictor: PredictorConfig::default(),
             mem: MemConfig::default(),
-            skip: true,
         }
     }
 

@@ -1,30 +1,35 @@
 //! Lockstep multi-core simulation over a shared memory hierarchy.
 //!
-//! [`MultiCoreSim`] steps N [`Core`]s round-robin, one cycle each, over one
-//! [`MemoryHierarchy`] built with [`MemoryHierarchy::shared`]: private L1s
-//! and MSHR quotas per core, shared L2/prefetcher/DRAM with round-robin
-//! channel arbitration (DESIGN.md §11). Core `i` is requester `i`, so every
-//! shared-level counter ([`MemoryHierarchy::shared_stats`]) and MemEpoch
-//! trace event attributes traffic to the core that caused it.
+//! [`MultiCoreSim`] steps N core pipelines round-robin, one cycle each,
+//! over one [`MemoryHierarchy`] built with [`MemoryHierarchy::shared`]:
+//! private L1s and MSHR quotas per core, shared L2/prefetcher/DRAM with
+//! round-robin channel arbitration (DESIGN.md §11). Core `i` is requester
+//! `i`, so every shared-level counter ([`MemoryHierarchy::shared_stats`])
+//! and MemEpoch trace event attributes traffic to the core that caused it.
 //!
 //! # Single-core equivalence
 //!
-//! With one core, the drive loop reduces exactly to [`Core::run`]'s loop
-//! (step, progress check, optional skip, progress check — in that order),
-//! and a one-requester shared hierarchy is bit-identical to the owned
-//! single-core hierarchy, so `MultiCoreSim` with N=1 produces a
-//! byte-identical [`SimResult`] to a standalone [`Core`] — pinned by the
-//! `multi_differential` test across all queue kinds.
+//! [`MultiCoreSim::run`] and [`Core::run`] call the same drive loop (step,
+//! progress check, optional skip, progress check — in that order), the
+//! latter over a one-element slice. A one-requester shared hierarchy is
+//! bit-identical to the owned single-core hierarchy, so `MultiCoreSim`
+//! with N=1 produces a byte-identical [`SimResult`] to a standalone
+//! [`Core`] — pinned by the `multi_differential` test across all queue
+//! kinds.
 //!
 //! # Quiescence skipping
 //!
-//! A clock jump is taken only when *every* active core is quiescent
-//! ([`Core::quiescent_horizon_on`], which folds in the shared hierarchy's
-//! wake horizon — covering neighbors' in-flight fills) and every active
+//! A clock jump is taken only when *every* active core is quiescent (its
+//! [`Core::quiescent_horizon`] predicate folds in the shared hierarchy's
+//! wake horizon, covering neighbors' in-flight fills) and every active
 //! core has skipping enabled. The jump length is the minimum over the
 //! cores' horizons, so no core is carried past its own wake-up; cores that
 //! have finished (or hit their retirement bound, or froze on a violation)
 //! no longer advance and do not constrain the jump.
+//!
+//! [`Core`]: crate::Core
+//! [`Core::run`]: crate::Core::run
+//! [`Core::quiescent_horizon`]: crate::Core::quiescent_horizon
 
 use swque_core::IqKind;
 use swque_isa::Program;
@@ -32,13 +37,13 @@ use swque_mem::{MemoryHierarchy, SharedMemStats};
 use swque_trace::TraceHandle;
 
 use crate::config::CoreConfig;
-use crate::core::Core;
+use crate::core::{drive, Pipeline};
 use crate::result::SimResult;
 
 /// N cores in lockstep over one shared memory hierarchy.
 #[derive(Debug)]
 pub struct MultiCoreSim {
-    cores: Vec<Core>,
+    pipelines: Vec<Pipeline>,
     mem: MemoryHierarchy,
 }
 
@@ -53,17 +58,12 @@ impl MultiCoreSim {
     pub fn new(config: CoreConfig, workloads: &[(IqKind, &Program)]) -> MultiCoreSim {
         assert!(!workloads.is_empty(), "a multi-core sim needs at least one core"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
         let mem = MemoryHierarchy::shared(config.mem, workloads.len());
-        let cores = workloads
+        let pipelines = workloads
             .iter()
             .enumerate()
-            .map(|(i, (kind, program))| Core::detached(config.clone(), *kind, program, i))
+            .map(|(i, (kind, program))| Pipeline::new(config.clone(), *kind, program, i))
             .collect();
-        MultiCoreSim { cores, mem }
-    }
-
-    /// The cores, indexed by requester id.
-    pub fn cores(&self) -> &[Core] {
-        &self.cores
+        MultiCoreSim { pipelines, mem }
     }
 
     /// The shared memory hierarchy.
@@ -80,8 +80,8 @@ impl MultiCoreSim {
     /// Connects an observability sink to every core and to the shared
     /// hierarchy (MemEpoch events carry the triggering requester id).
     pub fn attach_trace(&mut self, trace: &TraceHandle) {
-        for core in &mut self.cores {
-            core.attach_trace(trace);
+        for p in &mut self.pipelines {
+            p.attach_trace(trace);
         }
         self.mem.set_trace(trace);
     }
@@ -90,15 +90,15 @@ impl MultiCoreSim {
     /// all-or-nothing across cores, so a single disabled core pins the
     /// whole sim to per-cycle stepping).
     pub fn set_skip(&mut self, on: bool) {
-        for core in &mut self.cores {
-            core.set_skip(on);
+        for p in &mut self.pipelines {
+            p.set_skip(on);
         }
     }
 
     /// `(jumps_taken, cycles_skipped)` summed over all cores — host-side
     /// observability only, never part of any [`SimResult`].
     pub fn skip_stats(&self) -> (u64, u64) {
-        self.cores.iter().map(Core::skip_stats).fold((0, 0), |(j, c), (dj, dc)| {
+        self.pipelines.iter().map(Pipeline::skip_stats).fold((0, 0), |(j, c), (dj, dc)| {
             (j + dj, c + dc)
         })
     }
@@ -108,48 +108,7 @@ impl MultiCoreSim {
     /// any of those stop stepping while the rest continue. Returns one
     /// [`SimResult`] per core, indexed by requester id.
     pub fn run(&mut self, max_insts: u64) -> Vec<SimResult> {
-        loop {
-            let mut stepped = false;
-            for core in &mut self.cores {
-                if core.active(max_insts) {
-                    stepped = true;
-                    core.step_cycle_on(&mut self.mem);
-                    core.check_progress();
-                }
-            }
-            if !stepped {
-                break;
-            }
-            self.try_skip(max_insts);
-        }
-        self.cores.iter().map(|c| c.result_on(&self.mem)).collect()
-    }
-
-    /// One skip attempt: jump every active core by the minimum of their
-    /// quiescent horizons, or nothing at all (some core must tick, or has
-    /// skipping disabled).
-    fn try_skip(&mut self, max_insts: u64) {
-        let mut jump: Option<u64> = None;
-        for core in &self.cores {
-            if !core.active(max_insts) {
-                continue;
-            }
-            if !core.skip_enabled() {
-                return;
-            }
-            let Some(h) = core.quiescent_horizon_on(&self.mem) else { return };
-            let n = h.saturating_sub(core.cycle());
-            if n == 0 {
-                return;
-            }
-            jump = Some(jump.map_or(n, |j| j.min(n)));
-        }
-        let Some(n) = jump else { return };
-        for core in &mut self.cores {
-            if core.active(max_insts) {
-                core.apply_skip(n);
-                core.check_progress();
-            }
-        }
+        drive(&mut self.pipelines, &mut self.mem, max_insts);
+        self.pipelines.iter().map(|p| p.result(&self.mem)).collect()
     }
 }

@@ -18,7 +18,8 @@ use swque_workloads::suite;
 const RUN_INSTS: u64 = 8_000;
 
 /// N=1 `MultiCoreSim` must be byte-identical to a standalone `Core` for
-/// every issue-queue kind, with skipping enabled (the default).
+/// every issue-queue kind, with skipping enabled (the default). Both run
+/// the same drive loop, so they must also take the same clock jumps.
 #[test]
 fn n1_multi_core_matches_single_core_for_all_queue_kinds() {
     let kernel = suite::by_name("deepsjeng_like").expect("kernel exists");
@@ -35,6 +36,11 @@ fn n1_multi_core_matches_single_core_for_all_queue_kinds() {
             format!("{single_result:?}"),
             format!("{:?}", multi_results[0]),
             "{kind}: N=1 MultiCoreSim diverged from the single-core path"
+        );
+        assert_eq!(
+            multi.skip_stats(),
+            single.skip_stats(),
+            "{kind}: N=1 MultiCoreSim took different clock jumps than the single core"
         );
     }
 }

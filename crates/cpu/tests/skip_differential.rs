@@ -11,7 +11,8 @@
 //!    byte-for-byte (this covers every statistic field, recursively).
 //!    The test also asserts non-vacuity: at least one run per kernel must
 //!    actually take skips, so the equality is not trivially comparing two
-//!    per-cycle runs.
+//!    per-cycle runs. One more input pins a longer SWQUE run on an
+//!    MLP-heavy kernel, where the skip path takes large jumps.
 //!
 //! 2. **Never-overshoot property** — on random programs, tick a core
 //!    per-cycle and cross-examine the pure [`Core::quiescent_horizon`]
@@ -21,8 +22,7 @@
 //!    `None` (or a different horizon) and the assertion fires — exactly
 //!    the overshoot a bulk jump would have committed.
 //!
-//! Tests toggle skipping with [`Core::set_skip`], never by mutating
-//! `SWQUE_NO_SKIP` (process environment is shared across test threads).
+//! Tests toggle skipping with [`Core::set_skip`], the one skip switch.
 
 use swque_core::IqKind;
 use swque_cpu::{Core, CoreConfig};
@@ -33,23 +33,23 @@ use swque_workloads::suite;
 const RUN_INSTS: u64 = 20_000;
 const SCALE: u64 = 4_000;
 
-/// Runs `kernel` under `kind` with skipping forced on or off; returns the
-/// full `SimResult` debug rendering and the `(skips, cycles_skipped)`
-/// counters.
-fn run(kind: IqKind, kernel: &str, skip: bool) -> (String, (u64, u64)) {
+/// Runs `kernel` at `scale` under `kind` for `insts` instructions with
+/// skipping forced on or off; returns the full `SimResult` debug rendering
+/// and the `(skips, cycles_skipped)` counters.
+fn run(kind: IqKind, kernel: &str, scale: u64, insts: u64, skip: bool) -> (String, (u64, u64)) {
     let k = suite::by_name(kernel).expect("kernel exists");
-    let program = k.build_scaled(SCALE);
+    let program = k.build_scaled(scale);
     let mut core = Core::new(CoreConfig::medium(), kind, &program);
     core.set_skip(skip);
-    let r = core.run(RUN_INSTS);
+    let r = core.run(insts);
     (format!("{r:?}"), core.skip_stats())
 }
 
 fn differential(kernel: &str) {
     let mut any_skips = false;
     for kind in IqKind::ALL {
-        let (with_skip, (skips, skipped)) = run(kind, kernel, true);
-        let (without, off_stats) = run(kind, kernel, false);
+        let (with_skip, (skips, skipped)) = run(kind, kernel, SCALE, RUN_INSTS, true);
+        let (without, off_stats) = run(kind, kernel, SCALE, RUN_INSTS, false);
         assert_eq!(off_stats, (0, 0), "{kind}: set_skip(false) must disable skipping");
         assert_eq!(
             with_skip, without,
@@ -79,6 +79,18 @@ fn skip_differential_deepsjeng_like() {
 #[test]
 fn skip_differential_xz_like() {
     differential("xz_like");
+}
+
+/// Pinned long MLP run: SWQUE on `xz_like` at scale 6000 for 60k
+/// instructions. Long DRAM stalls make the skip path take large jumps.
+#[test]
+fn skip_differential_swque_xz_like_pinned() {
+    let (with_skip, (skips, skipped)) = run(IqKind::Swque, "xz_like", 6_000, 60_000, true);
+    let (without, off_stats) = run(IqKind::Swque, "xz_like", 6_000, 60_000, false);
+    assert_eq!(off_stats, (0, 0), "set_skip(false) must disable skipping");
+    assert_eq!(with_skip, without, "SimResult diverges between skip-on and skip-off");
+    assert!(skips > 0, "skip-on run took no skips — the differential is vacuous");
+    assert!(skipped >= skips, "each skip advances at least one cycle");
 }
 
 /// A small random program: serial dependent loads (long idle windows)

@@ -87,10 +87,21 @@ impl SparseMemory {
         self.write_u64(addr, value.to_bits());
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
+    /// Copies a byte slice into memory starting at `addr`, one page-sized
+    /// chunk (and one page lookup) at a time.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+        let mut addr = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            let page = self
+                .pages
+                .entry(addr >> PAGE_SHIFT)
+                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            page[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            rest = tail;
         }
     }
 }
@@ -138,5 +149,17 @@ mod tests {
         assert_eq!(m.read_u8(10), 1);
         assert_eq!(m.read_u8(11), 2);
         assert_eq!(m.read_u8(12), 3);
+
+        // Starts 5 bytes before the end of page 0 and ends inside page 3.
+        let start = PAGE_SIZE as u64 - 5;
+        let bytes: Vec<u8> = (0..2 * PAGE_SIZE + 10).map(|i| (i % 251) as u8 + 1).collect();
+        m.write_bytes(start, &bytes);
+        for (i, &b) in bytes.iter().enumerate() {
+            assert_eq!(m.read_u8(start + i as u64), b, "byte {i}");
+        }
+        assert_eq!(m.read_u8(start - 1), 0, "nothing written before the slice");
+        assert_eq!(m.read_u8(start + bytes.len() as u64), 0, "nothing written after it");
+        assert_eq!(m.read_u8(12), 3, "earlier bytes on a shared page survive");
+        assert_eq!(m.resident_pages(), 4);
     }
 }

@@ -1,9 +1,7 @@
 //! The ratchet baseline: committed per-rule debt that may only shrink.
 //!
-//! `lint-baseline.json` (schema `swque-lint-baseline-v3`; the legacy `-v2`
-//! and `-v1` schemas are still accepted on read and upgraded on the next
-//! `--write-baseline`) records, per rule, how many findings the shipped
-//! tree is allowed to contain. The
+//! `lint-baseline.json` (schema `swque-lint-baseline-v3`) records, per
+//! rule, how many findings the shipped tree is allowed to contain. The
 //! gate semantics are a one-way ratchet:
 //!
 //! * count **above** baseline → hard failure (new debt is rejected);
@@ -24,13 +22,6 @@ use crate::rules::is_known_rule;
 /// Schema string written into the baseline file.
 pub const BASELINE_SCHEMA: &str = "swque-lint-baseline-v3";
 
-/// The previous baseline schema, still accepted on read so a tree carrying
-/// a v2 file ratchets identically until `--write-baseline` rewrites it.
-pub const BASELINE_SCHEMA_V2: &str = "swque-lint-baseline-v2";
-
-/// The original baseline schema, likewise accepted on read.
-pub const BASELINE_SCHEMA_V1: &str = "swque-lint-baseline-v1";
-
 /// Per-rule allowed finding counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Baseline {
@@ -50,11 +41,8 @@ impl Baseline {
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let doc = Json::parse(text).map_err(|e| format!("baseline parse error: {e}"))?;
         let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != BASELINE_SCHEMA && schema != BASELINE_SCHEMA_V2 && schema != BASELINE_SCHEMA_V1 {
-            return Err(format!(
-                "baseline schema {schema:?}, expected {BASELINE_SCHEMA:?} (or legacy \
-                 {BASELINE_SCHEMA_V2:?} / {BASELINE_SCHEMA_V1:?})"
-            ));
+        if schema != BASELINE_SCHEMA {
+            return Err(format!("baseline schema {schema:?}, expected {BASELINE_SCHEMA:?}"));
         }
         let entries = doc
             .get("rules")
@@ -152,24 +140,6 @@ mod tests {
         assert!(Baseline::parse(bad).unwrap_err().contains("unknown rule"));
         let bad = r#"{"schema":"v0","rules":{}}"#;
         assert!(Baseline::parse(bad).unwrap_err().contains("schema"));
-    }
-
-    #[test]
-    fn legacy_baselines_are_accepted_verbatim() {
-        let v1 = r#"{"schema":"swque-lint-baseline-v1","rules":{"panic-in-lib":70}}"#;
-        let b = Baseline::parse(v1).unwrap();
-        assert_eq!(b.allowed("panic-in-lib"), 70);
-        // Rules that postdate v1 are simply held to zero.
-        assert_eq!(b.allowed("truncating-cast"), 0);
-        // Re-serializing writes the current schema: the migration is one-way.
-        assert!(b.to_json().to_string().contains(BASELINE_SCHEMA));
-
-        let v2 = r#"{"schema":"swque-lint-baseline-v2","rules":{"truncating-cast":3}}"#;
-        let b = Baseline::parse(v2).unwrap();
-        assert_eq!(b.allowed("truncating-cast"), 3);
-        // Rules that postdate v2 (the dataflow pair) are held to zero.
-        assert_eq!(b.allowed("cross-domain-arith"), 0);
-        assert!(b.to_json().to_string().contains(BASELINE_SCHEMA));
     }
 
     #[test]

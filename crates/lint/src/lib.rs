@@ -26,8 +26,7 @@
 //!   debt nags until the baseline is tightened.
 //! * [`report`] — the versioned `swque-lint-v3` JSON report (findings
 //!   tagged with their `rule_class`, domain pair, and reachability chain)
-//!   consumed by the `check_json` validator, plus the v1→v2→v3 migration
-//!   shims for archived reports.
+//!   consumed by the `check_json` validator.
 //!
 //! The `swque-lint` binary (`src/main.rs`) drives a workspace scan;
 //! `scripts/verify.sh` runs it as a hard gate. The rule table, policy

@@ -5,7 +5,7 @@
 //! swque-lint --root DIR                  # gate an explicit tree
 //! swque-lint --workspace --write-baseline  # tighten/record the ratchet
 //! swque-lint --explain RULE              # rationale + fixture example
-//! SWQUE_JSON=lint.json swque-lint --workspace  # also emit swque-lint-v2
+//! SWQUE_JSON=lint.json swque-lint --workspace  # also emit swque-lint-v3
 //! ```
 //!
 //! Exit codes: `0` clean (including ratchet slack, which nags on stderr),

@@ -20,20 +20,12 @@
 //! `"baseline-exceeded"` otherwise; `rules` lists every known rule in
 //! stable order with its current count and its baseline allowance.
 //!
-//! The version history, one key-set change per version:
-//!
-//! * **v1 → v2**: every finding gains a `rule_class` (`token`, `ast`,
-//!   `reachability`, or — since v3 — `dataflow`; see
-//!   [`crate::rules::rule_class`]) naming the analysis layer.
-//! * **v2 → v3**: every finding gains `domain_from`/`domain_to` (the
-//!   rendered cycle domains of a dataflow finding, empty for other
-//!   rules) and `chain` (the pub-to-site reachability hop chain of a
-//!   `panic-in-lib` finding, empty when there is none).
-//!
-//! [`migrate_report`] lifts an archived v1 or v2 document to v3 —
-//! deriving `rule_class` from the rule name and filling the v3 keys with
-//! their empty defaults — so old reports stay consumable; v3 documents
-//! pass through unchanged.
+//! Findings carry `rule_class` (`token`, `ast`, `reachability` or
+//! `dataflow`; see [`crate::rules::rule_class`]) naming the analysis
+//! layer, `domain_from`/`domain_to` (the rendered cycle domains of a
+//! dataflow finding, empty for other rules) and `chain` (the pub-to-site
+//! reachability hop chain of a `panic-in-lib` finding, empty when there
+//! is none).
 
 use std::collections::BTreeMap;
 
@@ -45,14 +37,6 @@ use crate::Scan;
 
 /// Schema identifier written into every report.
 pub const LINT_SCHEMA: &str = "swque-lint-v3";
-
-/// The v2 schema, still accepted by consumers (findings lack the domain
-/// pair and chain).
-pub const LINT_SCHEMA_V2: &str = "swque-lint-v2";
-
-/// The original report schema, still accepted by consumers (findings
-/// additionally lack `rule_class`).
-pub const LINT_SCHEMA_V1: &str = "swque-lint-v1";
 
 /// Serializes a scan plus its ratchet verdict as a `swque-lint-v3`
 /// document.
@@ -93,65 +77,6 @@ pub fn report_json(scan: &Scan, counts: &BTreeMap<&'static str, u64>, baseline: 
         ("rules", Json::Arr(rules)),
         ("findings", Json::Arr(findings)),
     ])
-}
-
-/// Lifts a lint report to the current schema. A v3 document is returned
-/// unchanged; a v2 document gets the empty `domain_from`/`domain_to`/
-/// `chain` keys appended to each finding; a v1 document additionally
-/// gets a `rule_class` derived from each finding's rule name (inserted
-/// directly after `rule`, preserving current key order). Anything else
-/// is an error.
-pub fn migrate_report(doc: &Json) -> Result<Json, String> {
-    let schema = doc.get("schema").and_then(Json::as_str);
-    let (add_class, add_domains) = match schema {
-        Some(LINT_SCHEMA) => return Ok(doc.clone()),
-        Some(LINT_SCHEMA_V2) => (false, true),
-        Some(LINT_SCHEMA_V1) => (true, true),
-        other => {
-            return Err(format!(
-                "lint report schema {other:?}, expected {LINT_SCHEMA:?}, {LINT_SCHEMA_V2:?}, \
-                 or {LINT_SCHEMA_V1:?}"
-            ))
-        }
-    };
-    let Json::Obj(pairs) = doc else {
-        return Err("lint report is not an object".to_string());
-    };
-    let pairs = pairs
-        .iter()
-        .map(|(k, v)| {
-            let v = match k.as_str() {
-                "schema" => Json::from(LINT_SCHEMA),
-                "findings" => {
-                    let arr = v.as_arr().unwrap_or(&[]);
-                    Json::Arr(arr.iter().map(|f| migrate_finding(f, add_class, add_domains)).collect())
-                }
-                _ => v.clone(),
-            };
-            (k.clone(), v)
-        })
-        .collect();
-    Ok(Json::Obj(pairs))
-}
-
-/// Lifts one finding: optionally inserts the derived `rule_class` after
-/// `rule`, then appends the empty v3 keys.
-fn migrate_finding(f: &Json, add_class: bool, add_domains: bool) -> Json {
-    let Json::Obj(pairs) = f else { return f.clone() };
-    let class = f.get("rule").and_then(Json::as_str).map(rule_class).unwrap_or("token");
-    let mut out = Vec::with_capacity(pairs.len() + 4);
-    for (k, v) in pairs {
-        out.push((k.clone(), v.clone()));
-        if add_class && k == "rule" {
-            out.push(("rule_class".to_string(), Json::from(class)));
-        }
-    }
-    if add_domains {
-        for key in ["domain_from", "domain_to", "chain"] {
-            out.push((key.to_string(), Json::from("")));
-        }
-    }
-    Json::Obj(out)
 }
 
 #[cfg(test)]
@@ -227,44 +152,6 @@ mod tests {
             Some("CycleStamp(completion)")
         );
         assert_eq!(j.get("domain_to").and_then(Json::as_str), Some("CycleStamp(launch)"));
-    }
-
-    #[test]
-    fn migrates_v1_and_v2_to_v3_and_v3_is_identity() {
-        let v1 = Json::parse(
-            r#"{"schema":"swque-lint-v1","files_scanned":1,"suppressed":0,
-                "status":"baseline-exceeded",
-                "rules":[{"rule":"panic-in-lib","count":1,"baseline":0}],
-                "findings":[{"rule":"panic-in-lib","file":"crates/core/src/x.rs",
-                             "line":3,"col":5,"message":"m"}]}"#,
-        )
-        .unwrap();
-        let v3 = migrate_report(&v1).unwrap();
-        assert_eq!(v3.get("schema").and_then(Json::as_str), Some(LINT_SCHEMA));
-        let f = &v3.get("findings").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(f.keys(), V3_FINDING_KEYS.to_vec(), "v1 gains class + v3 keys");
-        assert_eq!(f.get("rule_class").and_then(Json::as_str), Some("reachability"));
-        assert_eq!(f.get("chain").and_then(Json::as_str), Some(""));
-
-        let v2 = Json::parse(
-            r#"{"schema":"swque-lint-v2","files_scanned":1,"suppressed":0,
-                "status":"ok",
-                "rules":[{"rule":"wall-clock","count":0,"baseline":0}],
-                "findings":[{"rule":"wall-clock","rule_class":"token",
-                             "file":"crates/core/src/x.rs",
-                             "line":3,"col":5,"message":"m"}]}"#,
-        )
-        .unwrap();
-        let lifted = migrate_report(&v2).unwrap();
-        assert_eq!(lifted.get("schema").and_then(Json::as_str), Some(LINT_SCHEMA));
-        let f = &lifted.get("findings").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(f.keys(), V3_FINDING_KEYS.to_vec(), "v2 gains exactly the v3 keys");
-
-        // Migration is idempotent: a v3 document passes through unchanged.
-        assert_eq!(migrate_report(&lifted).unwrap(), lifted);
-        // Unknown schemas are an error, not a silent pass-through.
-        let junk = Json::obj([("schema", Json::from("swque-lint-v0"))]);
-        assert!(migrate_report(&junk).unwrap_err().contains("schema"));
     }
 
     #[test]
